@@ -36,10 +36,10 @@ type Packet struct {
 
 	Hops int // router-to-router hops taken by the head flit
 
-	// Payload carries an opaque reference for the system model (e.g. the
-	// memory transaction this packet belongs to). The network never
-	// inspects it.
-	Payload any
+	// Payload is the system model's handle for what the packet carries
+	// (e.g. the memory transaction it belongs to). The network never
+	// inspects it beyond clearing it when the packet is recycled.
+	Payload Payload
 
 	// datelineClass tracks the torus dateline VC class: packets start in
 	// class 0 and move to class 1 after crossing the dateline, which
@@ -60,6 +60,16 @@ type Packet struct {
 	// NI-side reassembly map so ejection does no map work and reassembly
 	// state is exactly O(in-flight packets).
 	rxFlits int
+}
+
+// Payload is the opaque handle a packet carries for the system model: a
+// kind the owner defines plus one integer reference (a transaction ID, a
+// trace node index). It is a plain value, so attaching one to a packet
+// never allocates, and a checkpoint can serialize it as it stands (see
+// PayloadCodec). The zero value means the packet carries nothing.
+type Payload struct {
+	Kind uint8
+	Ref  uint64
 }
 
 // QueuingLatency returns cycles spent waiting at the source NI.

@@ -41,12 +41,13 @@ import (
 	"adaptnoc/internal/snap"
 )
 
-// PayloadCodec serializes the opaque Packet.Payload values a simulation
-// attaches. The system model owns the payload types, so it provides the
-// codec; pure-traffic networks (nil payloads) need none.
+// PayloadCodec serializes the opaque Packet.Payload handles a simulation
+// attaches. The system model owns the payload kinds (and validates the
+// references on decode), so it provides the codec; pure-traffic networks
+// (zero payloads) need none.
 type PayloadCodec interface {
-	EncodePayload(w *snap.Writer, payload any) error
-	DecodePayload(r *snap.Reader) (any, error)
+	EncodePayload(w *snap.Writer, payload Payload) error
+	DecodePayload(r *snap.Reader) (Payload, error)
 }
 
 func snapshotEndpoint(w *snap.Writer, e Endpoint) {
@@ -212,7 +213,7 @@ func (n *Network) Snapshot(w *snap.Writer, codec PayloadCodec) error {
 		w.Int(p.rxFlits)
 		w.Bool(p.flits != nil)
 		if codec == nil {
-			if p.Payload != nil {
+			if p.Payload != (Payload{}) {
 				return fmt.Errorf("noc: packet %v carries a payload but no codec is installed", p)
 			}
 			w.Bool(false)

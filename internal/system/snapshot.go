@@ -313,63 +313,44 @@ func (m *Machine) RestoreSources(r *snap.Reader) error {
 }
 
 // Payload codec: packets carry either nothing, a fire-and-forget
-// coherence marker, a transaction handle, or a trace-replay node index.
-// The network's snapshot delegates payload bytes to its owner through
-// this pair.
-const (
-	payloadNil = iota
-	payloadCoh
-	payloadTxn
-	payloadTrace
-)
+// coherence marker, a transaction ID, or a trace-replay node index (the
+// payload* kinds). The network's snapshot delegates payload bytes to its
+// owner through this pair: the kind, then the reference for the kinds
+// that have one.
 
 // EncodePayload implements noc.PayloadCodec.
-func (m *Machine) EncodePayload(w *snap.Writer, payload any) error {
-	switch t := payload.(type) {
-	case nil:
-		w.Int(payloadNil)
-	case cohMsg:
-		w.Int(payloadCoh)
-	case *txn:
-		w.Int(payloadTxn)
-		w.U64(t.id)
-	case traceRef:
-		w.Int(payloadTrace)
-		w.U64(uint64(t))
+func (m *Machine) EncodePayload(w *snap.Writer, pl noc.Payload) error {
+	switch pl.Kind {
+	case payloadNil, payloadCoh:
+		w.Int(int(pl.Kind))
+	case payloadTxn, payloadTrace:
+		w.Int(int(pl.Kind))
+		w.U64(pl.Ref)
 	default:
-		return fmt.Errorf("system: unserializable payload %T", payload)
+		return fmt.Errorf("system: unserializable payload kind %d", pl.Kind)
 	}
 	return nil
 }
 
-// DecodePayload implements noc.PayloadCodec. Transaction handles resolve
-// against the already-restored transaction table.
-func (m *Machine) DecodePayload(r *snap.Reader) (any, error) {
+// DecodePayload implements noc.PayloadCodec. Transaction IDs must name a
+// transaction of the already-restored table.
+func (m *Machine) DecodePayload(r *snap.Reader) (noc.Payload, error) {
 	kind, err := r.Int()
 	if err != nil {
-		return nil, err
+		return noc.Payload{}, err
 	}
 	switch kind {
-	case payloadNil:
-		return nil, nil
-	case payloadCoh:
-		return cohMsg{}, nil
-	case payloadTxn:
-		id, err := r.U64()
-		if err != nil {
-			return nil, err
-		}
-		t := m.txns[id]
-		if t == nil {
-			return nil, fmt.Errorf("system: packet references unknown transaction %d", id)
-		}
-		return t, nil
-	case payloadTrace:
+	case payloadNil, payloadCoh:
+		return noc.Payload{Kind: uint8(kind)}, nil
+	case payloadTxn, payloadTrace:
 		ref, err := r.U64()
 		if err != nil {
-			return nil, err
+			return noc.Payload{}, err
 		}
-		return traceRef(ref), nil
+		if kind == payloadTxn && m.txns[ref] == nil {
+			return noc.Payload{}, fmt.Errorf("system: packet references unknown transaction %d", ref)
+		}
+		return noc.Payload{Kind: uint8(kind), Ref: ref}, nil
 	}
-	return nil, fmt.Errorf("system: unknown payload kind %d", kind)
+	return noc.Payload{}, fmt.Errorf("system: unknown payload kind %d", kind)
 }

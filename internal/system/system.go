@@ -34,6 +34,8 @@ func DefaultParams() Params {
 // machine's txns table under a stable uint64 ID from creation until its
 // data reply retires it, so packets and scheduled events can reference it
 // by value — the handle a checkpoint can serialize where a pointer cannot.
+// A retired transaction is zeroed and recycled by a later newTxn, so a
+// *txn must never be held past its retirement.
 type txn struct {
 	id      uint64
 	app     *App
@@ -51,12 +53,20 @@ const (
 	stageToMC
 )
 
-// cohMsg marks a fire-and-forget coherence message.
-type cohMsg struct{}
-
-// traceRef is the payload of a trace-replay packet: the node index handed
-// back to the source's Retirer when the packet leaves the network.
-type traceRef uint64
+// Payload kinds of the noc.Payload handles the machine attaches to its
+// packets. The values are the checkpoint encoding (see EncodePayload) and
+// are frozen.
+const (
+	// payloadNil: no payload (the zero handle).
+	payloadNil = iota
+	// payloadCoh: a fire-and-forget coherence message; no reference.
+	payloadCoh
+	// payloadTxn: Ref is the ID of the transaction the packet carries.
+	payloadTxn
+	// payloadTrace: Ref is the trace-replay node index handed back to the
+	// source's Retirer when the packet leaves the network.
+	payloadTrace
+)
 
 // WindowCounters are the per-epoch instruction/cache observations feeding
 // the RL state (Table I). The embedded traffic.Stats block is the portion
@@ -279,6 +289,11 @@ type Machine struct {
 	// it sorted.
 	txns    map[uint64]*txn
 	nextTxn uint64
+	// freeTxns is the LIFO stack of retired transactions newTxn recycles
+	// (the internal/noc pool idiom: driven only by simulation events, so
+	// deterministic). Execution state, not simulation state: it is never
+	// serialized and starts empty after Restore.
+	freeTxns []*txn
 
 	// onDeliver chains an external observer after the machine's own
 	// delivery handling.
@@ -318,10 +333,10 @@ func NewMachine(net *noc.Network, kernel *sim.Kernel, p Params) *Machine {
 	net.SetDropFunc(m.Drop)
 	kernel.Register(m)
 	kernel.RegisterOp(opSliceRespond, func(now sim.Cycle, args [3]int64) {
-		m.sliceRespond(m.txnByID(args[0]), now)
+		m.sliceRespond(m.txnByID(uint64(args[0])), now)
 	})
 	kernel.RegisterOp(opMCReply, func(now sim.Cycle, args [3]int64) {
-		t := m.txnByID(args[0])
+		t := m.txnByID(uint64(args[0]))
 		m.mcs[t.mc].queueLen--
 		m.replyData(t, t.mc, now)
 	})
@@ -330,25 +345,43 @@ func NewMachine(net *noc.Network, kernel *sim.Kernel, p Params) *Machine {
 
 // txnByID resolves a transaction handle carried by an event or packet; a
 // dangling ID is a simulator bug, not a recoverable condition.
-func (m *Machine) txnByID(id int64) *txn {
-	t := m.txns[uint64(id)]
+func (m *Machine) txnByID(id uint64) *txn {
+	t := m.txns[id]
 	if t == nil {
 		panic(fmt.Sprintf("system: unknown transaction %d", id))
 	}
 	return t
 }
 
-// newTxn allocates a transaction ID and enters the transaction into the
-// outstanding table.
-func (m *Machine) newTxn(t *txn) *txn {
+// newTxn starts a transaction: it takes a struct from the free list (or
+// allocates one while the list is empty), assigns the next ID, and enters
+// the transaction into the outstanding table.
+func (m *Machine) newTxn(a *App, c *core, slice, mc noc.NodeID, needsMC bool) *txn {
+	var t *txn
+	if n := len(m.freeTxns); n > 0 {
+		t = m.freeTxns[n-1]
+		m.freeTxns[n-1] = nil
+		m.freeTxns = m.freeTxns[:n-1]
+	} else {
+		t = &txn{}
+	}
 	m.nextTxn++
-	t.id = m.nextTxn
+	*t = txn{id: m.nextTxn, app: a, core: c, slice: slice, mc: mc, needsMC: needsMC}
 	m.txns[t.id] = t
 	return t
 }
 
-// retireTxn removes a completed transaction from the table.
-func (m *Machine) retireTxn(t *txn) { delete(m.txns, t.id) }
+// retireTxn removes a completed transaction from the table and recycles
+// it. The struct is zeroed first, so a use after retirement dereferences
+// nil and panics instead of silently reading a later transaction.
+func (m *Machine) retireTxn(t *txn) {
+	delete(m.txns, t.id)
+	*t = txn{}
+	m.freeTxns = append(m.freeTxns, t)
+}
+
+// txnPayload is the packet handle of transaction id.
+func txnPayload(id uint64) noc.Payload { return noc.Payload{Kind: payloadTxn, Ref: id} }
 
 // SetObserver installs an extra packet-delivery observer.
 func (m *Machine) SetObserver(fn noc.DeliverFunc) { m.onDeliver = fn }
@@ -421,7 +454,7 @@ func (m *Machine) applyEvent(a *App, ev traffic.Event, now sim.Cycle) {
 	case traffic.EvCoherence:
 		src, dst := a.cores[ev.Core].tile, a.cores[ev.Peer].tile
 		p := m.net.NewPacket(src, dst, noc.ClassCoherence, noc.VNetRequest, a.ID)
-		p.Payload = cohMsg{}
+		p.Payload = noc.Payload{Kind: payloadCoh}
 		m.net.Enqueue(p, now)
 		a.win.CoherencePackets++
 		a.total.CoherencePackets++
@@ -431,23 +464,23 @@ func (m *Machine) applyEvent(a *App, ev traffic.Event, now sim.Cycle) {
 
 	case traffic.EvMem:
 		c := a.cores[ev.Core]
-		t := m.newTxn(&txn{app: a, core: c, slice: ev.Slice, mc: ev.MC, needsMC: ev.NeedsMC})
+		id := m.newTxn(a, c, ev.Slice, ev.MC, ev.NeedsMC).id
 		c.outstanding++
 		if m.rec != nil {
-			m.rec.TxnStart(a.ID, ev.Core, t.id)
+			m.rec.TxnStart(a.ID, ev.Core, id)
 		}
 		if ev.Slice == c.tile {
 			// Local slice: no request traffic; resolve after the L2 lookup.
-			m.kernel.AfterOp(sim.Cycle(m.P.L2LatencyCycles), opSliceRespond, int64(t.id), 0, 0)
+			m.kernel.AfterOp(sim.Cycle(m.P.L2LatencyCycles), opSliceRespond, int64(id), 0, 0)
 			return
 		}
 		p := m.net.NewPacket(c.tile, ev.Slice, noc.ClassCoherence, noc.VNetRequest, a.ID)
-		p.Payload = t
-		m.net.Enqueue(p, now)
+		p.Payload = txnPayload(id)
+		m.net.Enqueue(p, now) // may drop and retire the txn (see Drop)
 		a.win.CoherencePackets++
 		a.total.CoherencePackets++
 		if m.rec != nil {
-			m.rec.TxnSend(t.id, c.tile, ev.Slice, false, now, a.total.Stats)
+			m.rec.TxnSend(id, c.tile, ev.Slice, false, now, a.total.Stats)
 		}
 
 	case traffic.EvPacket:
@@ -456,7 +489,7 @@ func (m *Machine) applyEvent(a *App, ev traffic.Event, now sim.Cycle) {
 			class, vnet = noc.ClassData, noc.VNetReply
 		}
 		p := m.net.NewPacket(ev.Src, ev.Dst, class, vnet, a.ID)
-		p.Payload = traceRef(ev.Ref)
+		p.Payload = noc.Payload{Kind: payloadTrace, Ref: ev.Ref}
 		m.net.Enqueue(p, now)
 		if ev.Data {
 			a.win.DataPackets++
@@ -485,8 +518,9 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 			a.total.HopSum += int64(p.Hops)
 		}
 	}
-	switch t := p.Payload.(type) {
-	case *txn:
+	switch p.Payload.Kind {
+	case payloadTxn:
+		t := m.txnByID(p.Payload.Ref)
 		if m.rec != nil {
 			m.rec.TxnPacketDone(t.id, now)
 		}
@@ -505,11 +539,11 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 		default: // stageToMC
 			m.mcService(t, now)
 		}
-	case traceRef:
+	case payloadTrace:
 		if a := m.appByID(p.App); a != nil && a.retirer != nil {
-			a.retirer.Retire(uint64(t), now)
+			a.retirer.Retire(p.Payload.Ref, now)
 		}
-	case cohMsg:
+	case payloadCoh:
 		// Fire-and-forget coherence message: nothing further.
 	}
 	if m.onDeliver != nil {
@@ -522,16 +556,22 @@ func (m *Machine) deliver(p *noc.Packet, now sim.Cycle) {
 // released so it keeps issuing — lost requests cost survival rate, not a
 // wedged core. Safe to retire here because kernel descriptor events only
 // ever reference a transaction while it is NOT riding a packet
-// (opSliceRespond and opMCReply are scheduled after delivery). A dropped
-// trace packet still retires its node so dependents release — a faulty
-// fabric degrades a replay instead of deadlocking it.
+// (opSliceRespond and opMCReply are scheduled after delivery). Drop can
+// run synchronously inside Network.Enqueue (the fault guard refuses an
+// unroutable packet there), and retirement recycles the struct, so the
+// invariant every sender keeps is: no caller touches a txn after the
+// Enqueue that carries it — whatever it needs afterwards it reads into
+// locals first. A dropped trace packet still retires its node so
+// dependents release — a faulty fabric degrades a replay instead of
+// deadlocking it.
 func (m *Machine) Drop(p *noc.Packet, now sim.Cycle) {
 	if p.App >= 0 {
 		m.dropGen++
 		m.dropped[p.App]++
 	}
-	switch t := p.Payload.(type) {
-	case *txn:
+	switch p.Payload.Kind {
+	case payloadTxn:
+		t := m.txnByID(p.Payload.Ref)
 		t.core.outstanding--
 		if t.core.outstanding < 0 {
 			panic(fmt.Sprintf("system: outstanding underflow at core %d on drop", t.core.tile))
@@ -541,9 +581,9 @@ func (m *Machine) Drop(p *noc.Packet, now sim.Cycle) {
 			m.rec.TxnEnd(t.id, now)
 		}
 		m.retireTxn(t)
-	case traceRef:
+	case payloadTrace:
 		if a := m.appByID(p.App); a != nil && a.retirer != nil {
-			a.retirer.Retire(uint64(t), now)
+			a.retirer.Retire(p.Payload.Ref, now)
 		}
 	}
 }
@@ -562,13 +602,14 @@ func (m *Machine) sliceRespond(t *txn, now sim.Cycle) {
 			m.mcService(t, now)
 			return
 		}
-		p := m.net.NewPacket(t.slice, t.mc, noc.ClassCoherence, noc.VNetRequest, t.app.ID)
-		p.Payload = t
-		m.net.Enqueue(p, now)
-		t.app.win.CoherencePackets++
-		t.app.total.CoherencePackets++
+		app, id, slice, mc := t.app, t.id, t.slice, t.mc
+		p := m.net.NewPacket(slice, mc, noc.ClassCoherence, noc.VNetRequest, app.ID)
+		p.Payload = txnPayload(id)
+		m.net.Enqueue(p, now) // may drop and retire t (see Drop)
+		app.win.CoherencePackets++
+		app.total.CoherencePackets++
 		if m.rec != nil {
-			m.rec.TxnSend(t.id, t.slice, t.mc, false, now, t.app.total.Stats)
+			m.rec.TxnSend(id, slice, mc, false, now, app.total.Stats)
 		}
 		return
 	}
@@ -603,13 +644,14 @@ func (m *Machine) replyData(t *txn, from noc.NodeID, now sim.Cycle) {
 		m.retireTxn(t)
 		return
 	}
-	p := m.net.NewPacket(from, t.core.tile, noc.ClassData, noc.VNetReply, t.app.ID)
-	p.Payload = t
-	m.net.Enqueue(p, now)
-	t.app.win.DataPackets++
-	t.app.total.DataPackets++
+	app, id, to := t.app, t.id, t.core.tile
+	p := m.net.NewPacket(from, to, noc.ClassData, noc.VNetReply, app.ID)
+	p.Payload = txnPayload(id)
+	m.net.Enqueue(p, now) // may drop and retire t (see Drop)
+	app.win.DataPackets++
+	app.total.DataPackets++
 	if m.rec != nil {
-		m.rec.TxnSend(t.id, from, t.core.tile, true, now, t.app.total.Stats)
+		m.rec.TxnSend(id, from, to, true, now, app.total.Stats)
 	}
 }
 

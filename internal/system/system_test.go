@@ -1,10 +1,13 @@
 package system
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"adaptnoc/internal/noc"
 	"adaptnoc/internal/sim"
+	"adaptnoc/internal/snap"
 	"adaptnoc/internal/topology"
 	"adaptnoc/internal/traffic"
 )
@@ -190,4 +193,66 @@ func TestRemoveApp(t *testing.T) {
 	if len(m.Apps()) != 0 {
 		t.Fatal("app list not empty")
 	}
+}
+
+// TestPayloadCodec pins the checkpoint bytes of every payload kind (the
+// kind as a varint, then the reference as a fixed uint64 where the kind
+// has one) and requires decode to refuse, with an error rather than a
+// panic, a transaction ID missing from the table and an unknown kind.
+func TestPayloadCodec(t *testing.T) {
+	prof, _ := traffic.ByName("canneal")
+	m, _, k := buildMachine(t, prof, 0, DefaultParams())
+	k.Run(2000)
+	var live uint64
+	for id := range m.txns {
+		live = id
+		break
+	}
+	if live == 0 {
+		t.Fatal("no outstanding transaction to reference")
+	}
+
+	for _, pl := range []noc.Payload{
+		{},
+		{Kind: payloadCoh},
+		{Kind: payloadTxn, Ref: live},
+		{Kind: payloadTrace, Ref: 1 << 40},
+	} {
+		var got, want snap.Writer
+		if err := m.EncodePayload(&got, pl); err != nil {
+			t.Fatalf("encode %+v: %v", pl, err)
+		}
+		want.Int(int(pl.Kind))
+		if pl.Kind == payloadTxn || pl.Kind == payloadTrace {
+			want.U64(pl.Ref)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("encode %+v = %x, want %x", pl, got.Bytes(), want.Bytes())
+		}
+		back, err := m.DecodePayload(snap.NewReader(got.Bytes()))
+		if err != nil || back != pl {
+			t.Fatalf("decode %+v = %+v, %v", pl, back, err)
+		}
+	}
+	if err := m.EncodePayload(&snap.Writer{}, noc.Payload{Kind: 9}); err == nil {
+		t.Fatal("encoded an unknown payload kind")
+	}
+
+	refuse := func(name string, build func(w *snap.Writer), want string) {
+		t.Helper()
+		var w snap.Writer
+		build(&w)
+		_, err := m.DecodePayload(snap.NewReader(w.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: decode error %v, want one containing %q", name, err, want)
+		}
+	}
+	refuse("dangling transaction", func(w *snap.Writer) {
+		w.Int(payloadTxn)
+		w.U64(m.nextTxn + 1)
+	}, "unknown transaction")
+	refuse("unknown kind", func(w *snap.Writer) {
+		w.Int(7)
+		w.U64(live)
+	}, "unknown payload kind")
 }
